@@ -4,8 +4,9 @@ The package wires the substrates together exactly as paper Figure 1 does:
 sources push into :class:`TriageQueue` instances, the engine drains them,
 overflow is synopsized per window and estimated by the shadow plan
 (:mod:`repro.rewrite.shadow`), and :mod:`repro.core.merge` produces the
-composite per-window answer.  :class:`DataTriagePipeline` runs the whole
-thing on a virtual clock; :class:`PipelineConfig` / :class:`ShedStrategy`
+composite per-window answer.  :class:`TriageRuntime` holds the queues and
+per-window state of that loop; :class:`DataTriagePipeline` drives it on a
+virtual clock; :class:`PipelineConfig` / :class:`ShedStrategy`
 select between Data Triage and the drop-only / summarize-only baselines on
 the single shared code path (paper Section 5.2.1).
 """
@@ -38,6 +39,7 @@ from repro.core.policies import (
     SynergisticPolicy,
     TailDropPolicy,
 )
+from repro.core.runtime import TriageRuntime
 from repro.core.strategies import PipelineConfig, ShedStrategy
 from repro.core.triage_queue import QueueStats, TriageQueue, WindowSynopsis
 
@@ -48,6 +50,7 @@ __all__ = [
     "PipelineConfig",
     "ShedStrategy",
     "TriageQueue",
+    "TriageRuntime",
     "WindowSynopsis",
     "QueueStats",
     "DropPolicy",

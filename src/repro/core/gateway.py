@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.algebra.multiset import Multiset
+from repro.core.merge import WindowPartials
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.policies import DropPolicy, RandomDropPolicy, TailDropPolicy
 from repro.core.strategies import PipelineConfig, ShedStrategy
@@ -252,15 +253,15 @@ def run_gateway_experiment(
         events = DataTriagePipeline._merge_events(streams, sources)
         ideal_inputs = pipeline._ideal_inputs(events, sources)
 
-    windows = pipeline.evaluate_windows(
-        window_ids=sorted(window_ids),
-        kept_rows=kept_rows,
-        kept_synopses=kept_syn if summarize else None,
-        dropped_synopses=dropped_syn if summarize else None,
-        dropped_counts=dropped_counts,
-        arrived=arrived,
-        ideal_inputs=ideal_inputs,
+    partials = WindowPartials(
+        sorted(window_ids),
+        kept_rows,
+        kept_syn if summarize else None,
+        dropped_syn if summarize else None,
+        dropped_counts,
+        arrived,
     )
+    windows = pipeline.evaluate_windows(partials, ideal_inputs=ideal_inputs)
     total = sum(o.offered for o in outputs.values())
     total_dropped = sum(o.dropped for o in outputs.values())
     run = RunResult(

@@ -15,7 +15,7 @@ and :func:`merge_groups` combines them aggregate-by-aggregate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 from repro.algebra.multiset import Multiset
@@ -204,14 +204,15 @@ def merge_groups(exact: Groups, estimated: Groups, spec: MergeSpec) -> Groups:
 # ---------------------------------------------------------------------------
 @dataclass
 class WindowPartials:
-    """Per-window evaluation inputs, in evaluate_windows' nested shape.
+    """The evaluation inputs of a batch of closing windows.
 
-    One shard's contribution to a batch of closing windows: kept-tuple bags,
-    kept/dropped synopses, and arrival/drop counts, all keyed
-    ``{source: {window_id: value}}``.  A sharded data plane collects one of
-    these per worker and folds them with :func:`merge_partials`; the merged
-    object feeds :meth:`DataTriagePipeline.evaluate_windows` unchanged, which
-    is what keeps sharded results byte-identical to the serial server's.
+    Kept-tuple bags, kept/dropped synopses (``None`` for drop-only runs),
+    and arrival/drop counts, all keyed ``{source: {window_id: value}}``.
+    :meth:`repro.core.runtime.TriageRuntime.collect` produces one; a sharded
+    data plane collects one per worker and folds them with
+    :func:`merge_partials`; :meth:`DataTriagePipeline.evaluate_windows`
+    consumes it, which is what keeps sharded results byte-identical to the
+    serial server's.
     """
 
     window_ids: list[int] = field(default_factory=list)
@@ -220,6 +221,23 @@ class WindowPartials:
     dropped_synopses: dict | None = None
     dropped_counts: dict = field(default_factory=dict)
     arrived: dict = field(default_factory=dict)
+
+    def select(self, wids: list[int]) -> "WindowPartials":
+        """The inputs of ``wids`` only (a parallel-evaluation chunk)."""
+        return WindowPartials(
+            list(wids),
+            *(restrict_windows(getattr(self, f.name), wids) for f in fields(self)[1:]),
+        )
+
+
+def restrict_windows(nested: dict | None, wids) -> dict | None:
+    """Restrict a ``{source: {window_id: value}}`` map to ``wids``."""
+    if nested is None:
+        return None
+    return {
+        s: {w: per_window[w] for w in wids if w in per_window}
+        for s, per_window in nested.items()
+    }
 
 
 def _merge_nested(dst: dict, src: dict, combine) -> None:

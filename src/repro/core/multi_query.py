@@ -6,8 +6,9 @@ processing for our kept tuples, we have not explored the possibility of
 sharing synopses of the dropped tuples across queries."*
 
 :class:`SharedTriageRuntime` explores exactly that: N continuous queries run
-over the same input streams with **one** triage queue per stream and **one**
-set of per-window kept/dropped synopses, built over the *union* of the
+over the same input streams with **one**
+:class:`~repro.core.runtime.TriageRuntime` — one triage queue per stream and
+one set of per-window kept/dropped synopses, built over the *union* of the
 columns any query references.  Every query's shadow plan then reads the
 shared synopses — joins address their own dimensions by name, extra
 dimensions simply ride along and marginalize out — so the synopsis-building
@@ -22,14 +23,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.algebra.multiset import Multiset
 from repro.core.pipeline import DataTriagePipeline, RunResult
+from repro.core.runtime import TriageRuntime
 from repro.core.strategies import PipelineConfig, ShedStrategy
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import StreamTuple
 from repro.rewrite.plan import RewriteError
-from repro.synopses.base import Dimension, Synopsis
+from repro.synopses.base import Dimension
 
 
 @dataclass
@@ -112,97 +113,60 @@ class SharedTriageRuntime:
         if missing:
             raise ValueError(f"no arrivals supplied for streams {missing}")
 
-        queues: dict[str, TriageQueue] = {}
-        for i, stream in enumerate(self.streams_used):
-            queues[stream] = TriageQueue(
-                name=stream,
-                dimensions=self._dims[stream],
-                dim_positions=self._dim_positions[stream],
-                capacity=cfg.queue_capacity,
-                policy=cfg.policy,
-                synopsis_factory=cfg.synopsis_factory,
-                window=cfg.window,
-                summarize=True,
-                seed=cfg.seed * 7919 + i,
-            )
-
+        runtime = TriageRuntime(
+            {
+                stream: TriageQueue(
+                    name=stream,
+                    dimensions=self._dims[stream],
+                    dim_positions=self._dim_positions[stream],
+                    capacity=cfg.queue_capacity,
+                    policy=cfg.policy,
+                    synopsis_factory=cfg.synopsis_factory,
+                    window=cfg.window,
+                    summarize=True,
+                    seed=cfg.seed * 7919 + i,
+                )
+                for i, stream in enumerate(self.streams_used)
+            },
+            cfg.window,
+            summarize=True,
+        )
+        queues = runtime.queues
+        cost = {s: cfg.service_time * self._queries_on(s) for s in self.streams_used}
         events = DataTriagePipeline._merge_events(streams, self.streams_used)
-        wid_set: set[int] = set()
-        arrived: dict[str, dict[int, int]] = {s: {} for s in self.streams_used}
-        for ts, _, stream, _ in events:
-            wids = cfg.window.ids(ts)
-            wid_set.update(wids)
-            for wid in wids:
-                arrived[stream][wid] = arrived[stream].get(wid, 0) + 1
-        window_ids = sorted(wid_set)
-
-        kept_rows: dict[str, dict[int, Multiset]] = {
-            s: {} for s in self.streams_used
-        }
-        kept_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in self.streams_used}
         engine_free = 0.0
 
         def drain(until: float) -> float:
             t = engine_free
-            while True:
-                best, best_ts = None, math.inf
-                for stream in self.streams_used:
-                    ts = queues[stream].peek_timestamp()
-                    if ts is not None and ts < best_ts:
-                        best, best_ts = stream, ts
-                if best is None:
-                    return max(t, until) if math.isfinite(until) else t
-                start = max(t, best_ts)
+            while (head := runtime.oldest()) is not None:
+                start = max(t, head)
                 if start >= until:
                     return t
-                tup = queues[best].poll()
-                t = start + cfg.service_time * self._queries_on(best)
-                for wid in cfg.window.ids(tup.timestamp):
-                    bag = kept_rows[best].get(wid)
-                    if bag is None:
-                        bag = kept_rows[best][wid] = Multiset()
-                    bag.add(tup.row)
-                    syn = kept_syn[best].get(wid)
-                    if syn is None:
-                        syn = kept_syn[best][wid] = cfg.synopsis_factory.create(
-                            self._dims[best]
-                        )
-                    syn.insert(
-                        [tup.row[p] for p in self._dim_positions[best]]
-                    )
+                stream, _ = runtime.take()
+                t = start + cost[stream]
+            return max(t, until) if math.isfinite(until) else t
 
         for ts, _, stream, tup in events:
             engine_free = drain(until=ts)
-            queues[stream].offer(tup)
-        engine_free = drain(until=math.inf)
-
-        dropped_syn: dict[str, dict[int, Synopsis | None]] = {
-            s: {} for s in self.streams_used
-        }
-        dropped_counts: dict[str, dict[int, int]] = {
-            s: {} for s in self.streams_used
-        }
-        for s in self.streams_used:
-            for wid in window_ids:
-                ws = queues[s].release_window(wid)
-                dropped_syn[s][wid] = ws.synopsis
-                dropped_counts[s][wid] = ws.dropped_count
+            runtime.offer(stream, tup)
+        drain(until=math.inf)
+        partials = runtime.collect(sorted(runtime.known_windows))
 
         # Shared-vs-unshared accounting: what per-query synopses would cost.
-        shared_cells = sum(
-            syn.storage_size()
-            for per in list(kept_syn.values()) + list(dropped_syn.values())
-            for syn in per.values()
-            if syn is not None
-        )
-        unshared_cells = shared_cells and sum(
-            self._queries_on(s)
-            * sum(
+        def cells(stream: str) -> int:
+            return sum(
                 syn.storage_size()
-                for syn in list(kept_syn[s].values())
-                + [x for x in dropped_syn[s].values() if x is not None]
+                for per in (
+                    partials.kept_synopses[stream],
+                    partials.dropped_synopses[stream],
+                )
+                for syn in per.values()
+                if syn is not None
             )
-            for s in self.streams_used
+
+        shared_cells = sum(cells(s) for s in self.streams_used)
+        unshared_cells = shared_cells and sum(
+            self._queries_on(s) * cells(s) for s in self.streams_used
         )
 
         per_query: dict[str, RunResult] = {}
@@ -212,15 +176,7 @@ class SharedTriageRuntime:
             if cfg.compute_ideal:
                 q_events = [e for e in events if e[2] in q_streams]
                 ideal_inputs = pipe._ideal_inputs(q_events, q_streams)
-            windows = pipe.evaluate_windows(
-                window_ids=window_ids,
-                kept_rows={s: kept_rows[s] for s in q_streams},
-                kept_synopses={s: kept_syn[s] for s in q_streams},
-                dropped_synopses={s: dropped_syn[s] for s in q_streams},
-                dropped_counts={s: dropped_counts[s] for s in q_streams},
-                arrived={s: arrived[s] for s in q_streams},
-                ideal_inputs=ideal_inputs,
-            )
+            windows = pipe.evaluate_windows(partials, ideal_inputs=ideal_inputs)
             q_arrived = sum(
                 1 for e in events if e[2] in q_streams
             )

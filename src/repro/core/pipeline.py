@@ -28,7 +28,6 @@ Event model (discrete-event simulation):
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -39,10 +38,12 @@ from repro.core.controller import LoadController
 from repro.core.merge import (
     Groups,
     MergeSpec,
+    WindowPartials,
     estimate_groups,
     exact_groups,
     merge_groups,
 )
+from repro.core.runtime import TriageRuntime
 from repro.core.strategies import PipelineConfig, ShedStrategy
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
@@ -221,45 +222,29 @@ class DataTriagePipeline:
         """Chain source names, in join order."""
         return [link.source_name for link in self.plan.chain]
 
-    def source_dimensions(self, source: str) -> tuple[list[Dimension], list[int]]:
-        """The synopsis dimensions of ``source`` and their row positions.
-
-        External feeders (e.g. :mod:`repro.service.server`) use this to
-        build their own triage queues and kept-tuple synopses that stay
-        consistent with the compiled shadow plan.
-        """
-        return list(self._dims[source]), list(self._dim_positions[source])
-
     def build_queue(
         self,
         source: str,
         *,
-        capacity: int | None = None,
-        policy=None,
-        summarize: bool | None = None,
-        seed: int | None = None,
         observer=None,
         thread_safe: bool = False,
         audit=None,
     ) -> TriageQueue:
-        """A :class:`TriageQueue` for ``source``, configured like the
-        pipeline's own (dimensions, window, synopsis factory), for callers
-        that drive arrival/drain themselves instead of using :meth:`run`.
+        """The :class:`TriageQueue` for ``source``: the configured capacity,
+        policy, window and synopses over the query's referenced columns,
+        seeded from ``config.seed`` and the source's global chain index.
         """
         cfg = self.config
-        index = self.sources.index(source)
         return TriageQueue(
             name=source,
             dimensions=self._dims[source],
             dim_positions=self._dim_positions[source],
-            capacity=cfg.queue_capacity if capacity is None else capacity,
-            policy=policy if policy is not None else cfg.policy,
+            capacity=cfg.queue_capacity,
+            policy=cfg.policy,
             synopsis_factory=cfg.synopsis_factory,
             window=cfg.window,
-            summarize=(
-                cfg.strategy.summarizes_drops if summarize is None else summarize
-            ),
-            seed=(cfg.seed if seed is None else seed) * 7919 + index,
+            summarize=cfg.strategy.summarizes_drops,
+            seed=cfg.seed * 7919 + self.sources.index(source),
             observer=observer,
             thread_safe=thread_safe,
             audit=audit,
@@ -330,48 +315,6 @@ class DataTriagePipeline:
 
         return observe
 
-    def make_kept_synopsis(self, source: str) -> Synopsis:
-        """A fresh kept-tuple synopsis for one (source, window) cell."""
-        return self.config.synopsis_factory.create(self._dims[source])
-
-    def insert_into_synopsis(self, source: str, syn: Synopsis, row: tuple) -> None:
-        """Fold ``row``'s referenced columns into ``syn``."""
-        syn.insert([row[p] for p in self._dim_positions[source]])
-
-    def evaluate_window(
-        self,
-        window_id: int,
-        kept_rows: dict[str, Multiset],
-        kept_synopses: "dict[str, Synopsis | None] | None",
-        dropped_synopses: "dict[str, Synopsis | None] | None",
-        dropped_counts: dict[str, int],
-        arrived: dict[str, int],
-    ) -> WindowOutcome:
-        """Single-window convenience wrapper around :meth:`evaluate_windows`.
-
-        All arguments are per-source maps for *this* window only — the shape
-        an incremental feeder naturally holds when a window closes.
-        """
-        sources = self.sources
-        return self.evaluate_windows(
-            window_ids=[window_id],
-            kept_rows={s: {window_id: kept_rows.get(s, Multiset())} for s in sources},
-            kept_synopses=(
-                None
-                if kept_synopses is None
-                else {s: {window_id: kept_synopses.get(s)} for s in sources}
-            ),
-            dropped_synopses=(
-                None
-                if dropped_synopses is None
-                else {s: {window_id: dropped_synopses.get(s)} for s in sources}
-            ),
-            dropped_counts={
-                s: {window_id: dropped_counts.get(s, 0)} for s in sources
-            },
-            arrived={s: {window_id: arrived.get(s, 0)} for s in sources},
-        )[0]
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -393,20 +336,9 @@ class DataTriagePipeline:
             raise ValueError(f"no arrivals supplied for sources {missing}")
 
         events = self._merge_events(streams, sources)
-        ids = cfg.window.ids
-        wid_set: set[int] = set()
-        arrived = _nested_counter(sources)
-        for ts, _, source, _ in events:
-            wids = ids(ts)
-            wid_set.update(wids)
-            per_window = arrived[source]
-            for wid in wids:
-                per_window[wid] = per_window.get(wid, 0) + 1
-        window_ids = sorted(wid_set)
-
         if cfg.strategy is ShedStrategy.SUMMARIZE_ONLY:
-            return self._run_summarize_only(events, window_ids, arrived, sources)
-        return self._run_queued(events, window_ids, arrived, sources)
+            return self._run_summarize_only(events, sources)
+        return self._run_queued(events, sources)
 
     @staticmethod
     def _merge_events(streams, sources):
@@ -418,11 +350,13 @@ class DataTriagePipeline:
         return events
 
     # ------------------------------------------------------------------
-    def _run_summarize_only(self, events, window_ids, arrived, sources) -> RunResult:
+    def _run_summarize_only(self, events, sources) -> RunResult:
         cfg = self.config
         full_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in sources}
+        arrived: dict[str, dict[int, int]] = {s: {} for s in sources}
         for ts, _, source, tup in events:
             for wid in cfg.window.ids(ts):
+                arrived[source][wid] = arrived[source].get(wid, 0) + 1
                 syn = full_syn[source].get(wid)
                 if syn is None:
                     syn = full_syn[source][wid] = cfg.synopsis_factory.create(
@@ -432,7 +366,7 @@ class DataTriagePipeline:
 
         ideal_inputs = self._ideal_inputs(events, sources) if cfg.compute_ideal else None
         windows: list[WindowOutcome] = []
-        for wid in window_ids:
+        for wid in sorted({w for per in arrived.values() for w in per}):
             result_syn = self.shadow.estimate_full(
                 {s: full_syn[s].get(wid) for s in sources}
             )
@@ -463,7 +397,7 @@ class DataTriagePipeline:
         )
 
     # ------------------------------------------------------------------
-    def _run_queued(self, events, window_ids, arrived, sources) -> RunResult:
+    def _run_queued(self, events, sources) -> RunResult:
         cfg = self.config
         # Observability: `obs is None` is THE fast path — every
         # instrumentation site below is behind that check (or the cheaper
@@ -474,96 +408,55 @@ class DataTriagePipeline:
         trace_on = tracer is not None and tracer.enabled
         tuple_on = trace_on and tracer.tuple_events
         observer = self._queue_metrics_observer() if obs is not None else None
-        queues: dict[str, TriageQueue] = {}
-        for i, source in enumerate(sources):
-            queues[source] = TriageQueue(
-                name=source,
-                dimensions=self._dims[source],
-                dim_positions=self._dim_positions[source],
-                capacity=cfg.queue_capacity,
-                policy=cfg.policy,
-                synopsis_factory=cfg.synopsis_factory,
-                window=cfg.window,
-                summarize=cfg.strategy.summarizes_drops,
-                seed=cfg.seed * 7919 + i,
-                observer=observer,
-                audit=self.audit,
-            )
-
-        kept_rows: dict[str, dict[int, Multiset]] = {s: {} for s in sources}
-        kept_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in sources}
-        build_kept_syn = cfg.strategy is ShedStrategy.DATA_TRIAGE
+        runtime = TriageRuntime(
+            {
+                s: self.build_queue(s, observer=observer, audit=self.audit)
+                for s in sources
+            },
+            cfg.window,
+            summarize=cfg.strategy.summarizes_drops,
+        )
+        queues = runtime.queues
+        qlist = list(queues.values())
+        oldest, take = runtime.oldest, runtime.take
         completion: dict[int, float] = {}  # window -> last kept-tuple finish
 
         engine_free = 0.0
         ids = cfg.window.ids
         service_time = cfg.service_time
 
-        # The engine always consumes the globally-oldest queued tuple.  A
-        # linear peek over every source per tuple is O(#sources) on the
-        # hottest loop in the simulator; instead keep a heap of queue heads.
-        # Entries are (head timestamp, source index) — the index tie-break
-        # reproduces the linear scan's first-source-wins order.  A drop
-        # policy may evict a queue's *head* during offer(), so entries are
-        # validated lazily against ``heads`` (the current head per source)
-        # rather than removed eagerly.
-        qlist = [queues[s] for s in sources]
-        heads: list[float | None] = [None] * len(sources)
-        heap: list[tuple[float, int]] = []
-
-        def sync_head(idx: int) -> None:
-            """Re-register source ``idx`` after its head may have changed."""
-            ts = qlist[idx].peek_timestamp()
-            if ts != heads[idx]:
-                heads[idx] = ts
-                if ts is not None:
-                    heapq.heappush(heap, (ts, idx))
-
         def drain(until: float) -> float:
             t = engine_free
-            while True:
-                while heap and heads[heap[0][1]] != heap[0][0]:
-                    heapq.heappop(heap)  # stale: head evicted or consumed
-                if not heap:
-                    return max(t, until) if math.isfinite(until) else t
-                best_ts, idx = heap[0]
-                start = max(t, best_ts)
+            while (head := oldest()) is not None:
+                start = max(t, head)
                 if start >= until:
                     return t
-                heapq.heappop(heap)
-                source = sources[idx]
-                tup = qlist[idx].poll()
+                source, tup = take()
                 if tuple_on:
                     tracer.tuple_event("poll", source, tup.timestamp)
-                # Unconditional re-push: the next head may carry the *same*
-                # timestamp, which sync_head's change test would miss.
-                nts = qlist[idx].peek_timestamp()
-                heads[idx] = nts
-                if nts is not None:
-                    heapq.heappush(heap, (nts, idx))
                 t = start + service_time
+                # Engine time only moves forward, so t is already the max
+                # completion seen for this window.
                 for wid in ids(tup.timestamp):
-                    # Engine time only moves forward, so t is already the
-                    # max completion seen for this window.
                     completion[wid] = t
-                    bag = kept_rows[source].get(wid)
-                    if bag is None:
-                        bag = kept_rows[source][wid] = Multiset()
-                    bag.add(tup.row)
-                    if build_kept_syn:
-                        syn = kept_syn[source].get(wid)
-                        if syn is None:
-                            syn = kept_syn[source][wid] = (
-                                cfg.synopsis_factory.create(
-                                    self._dims[source]
-                                )
-                            )
-                        syn.insert(
-                            [
-                                tup.row[p]
-                                for p in self._dim_positions[source]
-                            ]
-                        )
+            return max(t, until) if math.isfinite(until) else t
+
+        drain_seconds = 0.0
+
+        def observed_drain(until: float) -> float:
+            nonlocal drain_seconds
+            t0 = tracer.now()
+            polled_before = sum(q.stats.polled for q in qlist) if trace_on else 0
+            free = drain(until)
+            drain_seconds += tracer.now() - t0
+            if trace_on:
+                n = sum(q.stats.polled for q in qlist) - polled_before
+                if n:
+                    at = {"until": until} if math.isfinite(until) else {"final": True}
+                    tracer.complete("drain", t0, polled=n, **at)
+            return free
+
+        step = drain if obs is None else observed_drain
 
         controllers: dict[str, LoadController] | None = None
         control_dt = 0.0
@@ -598,7 +491,6 @@ class DataTriagePipeline:
                 )
             for s in sources:
                 g_capacity.set(queues[s].capacity, stream=s)
-        drain_seconds = 0.0
 
         # Ambient phase tags join sampled stacks to the identically-named
         # trace spans; two global stores per arrival, and only when a
@@ -613,23 +505,10 @@ class DataTriagePipeline:
             _phase = _prof.__dict__
             _phase["_current_phase"] = "ingest"
 
-        source_index = {s: i for i, s in enumerate(sources)}
         for ts, _, source, tup in events:
             if prof_on:
                 _phase["_current_phase"] = "drain"
-            if obs is None:
-                engine_free = drain(until=ts)
-            else:
-                t0 = tracer.now()
-                polled_before = (
-                    sum(q.stats.polled for q in qlist) if trace_on else 0
-                )
-                engine_free = drain(until=ts)
-                drain_seconds += tracer.now() - t0
-                if trace_on:
-                    n = sum(q.stats.polled for q in qlist) - polled_before
-                    if n:
-                        tracer.complete("drain", t0, polled=n, until=ts)
+            engine_free = step(ts)
             if prof_on:
                 _phase["_current_phase"] = "ingest"
             if controllers is not None and ts >= next_control:
@@ -647,14 +526,14 @@ class DataTriagePipeline:
                         g_capacity.set(queues[s].capacity, stream=s)
                         g_rate.set(est.arrival_rate, stream=s)
                         g_frac.set(est.drop_fraction, stream=s)
-            q = queues[source]
             if obs is None:
-                q.offer(tup)
+                runtime.offer(source, tup)
             else:
+                q = queues[source]
                 if tuple_on:
                     tracer.tuple_event("ingest", source, ts)
                 dropped_before = q.stats.dropped
-                q.offer(tup)
+                runtime.offer(source, tup)
                 if tuple_on:
                     tracer.tuple_event(
                         "shed" if q.stats.dropped > dropped_before else "enqueue",
@@ -662,41 +541,16 @@ class DataTriagePipeline:
                         ts,
                     )
                 h_depth.observe(len(q), stream=source)
-            sync_head(source_index[source])
         if prof_on:
             _phase["_current_phase"] = "drain"
-        if obs is None:
-            engine_free = drain(until=math.inf)
-        else:
-            t0 = tracer.now()
-            polled_before = sum(q.stats.polled for q in qlist) if trace_on else 0
-            engine_free = drain(until=math.inf)
-            drain_seconds += tracer.now() - t0
-            if trace_on:
-                n = sum(q.stats.polled for q in qlist) - polled_before
-                if n:
-                    tracer.complete("drain", t0, polled=n, final=True)
+        engine_free = step(math.inf)
+        if obs is not None:
             obs.record_run_phase("drain", drain_seconds)
         if prof_on:
             _phase["_current_phase"] = None
 
-        dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
-        dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
-        use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
-        for s in sources:
-            for wid in window_ids:
-                ws = queues[s].release_window(wid)
-                dropped_counts[s][wid] = ws.dropped_count
-                if use_shadow:
-                    dropped_syn[s][wid] = ws.synopsis
-
         windows = self.evaluate_windows(
-            window_ids=window_ids,
-            kept_rows=kept_rows,
-            kept_synopses=kept_syn if use_shadow else None,
-            dropped_synopses=dropped_syn if use_shadow else None,
-            dropped_counts=dropped_counts,
-            arrived=arrived,
+            runtime.collect(sorted(runtime.known_windows)),
             ideal_inputs=(
                 self._ideal_inputs(events, sources) if cfg.compute_ideal else None
             ),
@@ -723,12 +577,7 @@ class DataTriagePipeline:
     # ------------------------------------------------------------------
     def evaluate_windows(
         self,
-        window_ids: list[int],
-        kept_rows: dict[str, dict[int, Multiset]],
-        kept_synopses: dict[str, dict[int, Synopsis]] | None,
-        dropped_synopses: dict[str, dict[int, "Synopsis | None"]] | None,
-        dropped_counts: dict[str, dict[int, int]],
-        arrived: dict[str, dict[int, int]],
+        partials: WindowPartials,
         ideal_inputs=None,
         trace_ids: dict[int, list[str]] | None = None,
     ) -> list[WindowOutcome]:
@@ -736,9 +585,10 @@ class DataTriagePipeline:
 
         This is the window-boundary work of Figure 2: execute the exact
         query over the kept bags, run the shadow plan over the synopses
-        (when provided — pass ``None`` for drop-only semantics), and merge.
-        External shedding layers (e.g. the distributed gateway of
-        :mod:`repro.core.gateway`) reuse this after doing their own triage.
+        (when provided — ``None`` synopses mean drop-only semantics), and
+        merge, for every window in ``partials.window_ids``.  Sources of
+        ``partials`` outside this query's chain are ignored, so queries
+        sharing one triage runtime can all read its partials.
 
         ``trace_ids`` maps a window id to the distributed-trace ids of the
         PUBLISH batches that landed in it; the window's ``window_close`` and
@@ -749,39 +599,24 @@ class DataTriagePipeline:
 
         Windows are independent, so with ``config.parallel_windows = N``
         the batch is chunked across a process pool; outcomes come back in
-        ``window_ids`` order either way, and any pool failure falls back to
+        window-id order either way, and any pool failure falls back to
         the serial path, so the knob never changes the result.
         """
         outcomes: list[WindowOutcome] | None = None
         workers = self.config.parallel_windows
-        if workers is not None and workers > 1 and len(window_ids) > 1:
+        if workers is not None and workers > 1 and len(partials.window_ids) > 1:
             try:
                 if self._parallel is None:
                     from repro.perf.parallel import ParallelWindowEvaluator
 
                     self._parallel = ParallelWindowEvaluator(self, workers)
                 outcomes = self._parallel.evaluate(
-                    window_ids=window_ids,
-                    kept_rows=kept_rows,
-                    kept_synopses=kept_synopses,
-                    dropped_synopses=dropped_synopses,
-                    dropped_counts=dropped_counts,
-                    arrived=arrived,
-                    ideal_inputs=ideal_inputs,
+                    partials=partials, ideal_inputs=ideal_inputs
                 )
             except Exception:
                 self.close()  # a broken pool would fail every later call
         if outcomes is None:
-            outcomes = self._evaluate_windows_serial(
-                window_ids,
-                kept_rows,
-                kept_synopses,
-                dropped_synopses,
-                dropped_counts,
-                arrived,
-                ideal_inputs,
-                trace_ids,
-            )
+            outcomes = self._evaluate_windows_serial(partials, ideal_inputs, trace_ids)
         self._dispatch_window_hooks(outcomes)
         return outcomes
 
@@ -793,15 +628,13 @@ class DataTriagePipeline:
 
     def _evaluate_windows_serial(
         self,
-        window_ids: list[int],
-        kept_rows: dict[str, dict[int, Multiset]],
-        kept_synopses: dict[str, dict[int, Synopsis]] | None,
-        dropped_synopses: dict[str, dict[int, "Synopsis | None"]] | None,
-        dropped_counts: dict[str, dict[int, int]],
-        arrived: dict[str, dict[int, int]],
+        partials: WindowPartials,
         ideal_inputs=None,
         trace_ids: dict[int, list[str]] | None = None,
     ) -> list[WindowOutcome]:
+        kept_rows = partials.kept_rows
+        kept_synopses = partials.kept_synopses
+        dropped_synopses = partials.dropped_synopses
         sources = [link.source_name for link in self.plan.chain]
         stream_of = {
             s: self.bound.source(s).stream_name.lower() for s in sources
@@ -822,7 +655,7 @@ class DataTriagePipeline:
             from repro.obs.prof import set_phase as _set_phase
         clock = time.perf_counter
         windows: list[WindowOutcome] = []
-        for wid in window_ids:
+        for wid in partials.window_ids:
             wid_traces = trace_ids.get(wid) if trace_ids else None
             if trace_on:
                 if wid_traces:
@@ -908,12 +741,12 @@ class DataTriagePipeline:
                     exact=exact,
                     estimated=estimated,
                     ideal=ideal,
-                    arrived={s: arrived[s].get(wid, 0) for s in sources},
+                    arrived={s: partials.arrived[s].get(wid, 0) for s in sources},
                     kept={
                         s: len(kept_rows[s].get(wid, empty)) for s in sources
                     },
                     dropped={
-                        s: dropped_counts[s].get(wid, 0) for s in sources
+                        s: partials.dropped_counts[s].get(wid, 0) for s in sources
                     },
                     raw_rows=raw_rows,
                     lost_synopsis=result_syn,
@@ -946,7 +779,3 @@ class DataTriagePipeline:
         }
         result = self.executor.execute(self.bound, inputs)
         return exact_groups(result.rows, result.schema, self.merge_spec)
-
-
-def _nested_counter(sources):
-    return {s: {} for s in sources}

@@ -28,11 +28,6 @@ class ShedStrategy(enum.Enum):
     SUMMARIZE_ONLY = "summarize_only"
 
     @property
-    def uses_queue(self) -> bool:
-        """Summarize-only bypasses the triage queue entirely."""
-        return self is not ShedStrategy.SUMMARIZE_ONLY
-
-    @property
     def summarizes_drops(self) -> bool:
         """Drop-only disables the summarizing half of the queue."""
         return self is ShedStrategy.DATA_TRIAGE

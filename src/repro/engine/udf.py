@@ -90,9 +90,6 @@ class UDFRegistry:
     def __getitem__(self, name: str) -> Callable:
         return self.function(name)
 
-    def as_mapping(self) -> dict[str, Callable]:
-        return dict(self._functions)
-
     # ------------------------------------------------------------------
     # Types
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ windows are supported for completeness.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.engine.types import StreamTuple
@@ -55,19 +55,30 @@ class WindowSpec:
         return self.slide if self.slide is not None else self.width
 
     # ------------------------------------------------------------------
-    def window_ids(self, timestamp: float) -> Iterator[int]:
-        """All window ids containing ``timestamp``.
+    def window_ids(self, timestamp: float) -> tuple[int, ...]:
+        """All window ids containing ``timestamp``, oldest first.
 
-        Window ``i`` covers ``[i * hop, i * hop + width)``.
+        Window ``i`` covers ``[i * hop, i * hop + width)``.  Membership is
+        anchored on :meth:`primary_window`, so float rounding at a boundary
+        can neither put a timestamp in two tumbling windows nor in none: a
+        tumbling spec returns exactly the primary window, and overlapping
+        windows are a contiguous run ending at it, reaching back while the
+        timestamp precedes each earlier window's end as :meth:`bounds`
+        computes it (the end the close rule waits for).
         """
-        last = math.floor(timestamp / self.hop)
-        first = math.floor((timestamp - self.width) / self.hop) + 1
-        for i in range(max(first, 0) if timestamp >= 0 else first, last + 1):
-            if i * self.hop <= timestamp < i * self.hop + self.width:
-                yield i
+        hop, width = self.hop, self.width
+        last = math.floor(timestamp / hop)
+        if hop == width:
+            return (last,)
+        if hop > width and not timestamp < last * hop + width:
+            return ()  # in the gap after a sampled window
+        first = last
+        while (first > 0 or timestamp < 0) and timestamp < (first - 1) * hop + width:
+            first -= 1
+        return tuple(range(first, last + 1))
 
     def ids(self, timestamp: float) -> tuple[int, ...]:
-        """Memoized :meth:`window_ids` as a tuple.
+        """Memoized :meth:`window_ids`.
 
         The pipeline event loops ask for a tuple's windows 3–4 times on its
         way through triage (offer, shed, drain, completion accounting); the
@@ -80,7 +91,7 @@ class WindowSpec:
         if out is None:
             if len(cache) >= self.IDS_CACHE_SIZE:
                 cache.clear()
-            out = cache[timestamp] = tuple(self.window_ids(timestamp))
+            out = cache[timestamp] = self.window_ids(timestamp)
         return out
 
     def primary_window(self, timestamp: float) -> int:

@@ -28,6 +28,8 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
+from repro.core.merge import restrict_windows
+
 # Worker-side pipeline, rebuilt once per worker by _init_worker.
 _WORKER_PIPELINE = None
 
@@ -72,18 +74,8 @@ def _init_worker(payload: bytes) -> None:
     _WORKER_PIPELINE = build_pipeline_from_payload(payload)
 
 
-def _eval_chunk(kwargs: dict):
-    return _WORKER_PIPELINE._evaluate_windows_serial(**kwargs)
-
-
-def _slice(nested, wids):
-    """Restrict a {source: {window_id: value}} map to ``wids``."""
-    if nested is None:
-        return None
-    return {
-        s: {w: per_window[w] for w in wids if w in per_window}
-        for s, per_window in nested.items()
-    }
+def _eval_chunk(args: tuple):
+    return _WORKER_PIPELINE._evaluate_windows_serial(*args)
 
 
 class ParallelWindowEvaluator:
@@ -116,33 +108,17 @@ class ParallelWindowEvaluator:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
-    def evaluate(
-        self,
-        window_ids,
-        kept_rows,
-        kept_synopses,
-        dropped_synopses,
-        dropped_counts,
-        arrived,
-        ideal_inputs=None,
-    ):
-        """Evaluate ``window_ids`` across the pool, preserving their order."""
+    def evaluate(self, partials, ideal_inputs=None):
+        """Evaluate ``partials``' windows across the pool, in their order."""
         pool = self._ensure_pool()
+        window_ids = partials.window_ids
         n = len(window_ids)
         chunk_size = -(-n // self.workers)  # ceil division
         tasks = []
         for lo in range(0, n, chunk_size):
-            wids = list(window_ids[lo : lo + chunk_size])
+            wids = window_ids[lo : lo + chunk_size]
             tasks.append(
-                {
-                    "window_ids": wids,
-                    "kept_rows": _slice(kept_rows, wids),
-                    "kept_synopses": _slice(kept_synopses, wids),
-                    "dropped_synopses": _slice(dropped_synopses, wids),
-                    "dropped_counts": _slice(dropped_counts, wids),
-                    "arrived": _slice(arrived, wids),
-                    "ideal_inputs": _slice(ideal_inputs, wids),
-                }
+                (partials.select(wids), restrict_windows(ideal_inputs, wids))
             )
         out = []
         # map() yields chunk results in submission order: chunks are

@@ -1,11 +1,12 @@
-"""The per-process triage data plane: queues, windows, engine emulation.
+"""The per-process service data plane: a triage runtime behind PUBLISH.
 
-This is the state a :class:`~repro.service.server.TriageServer` used to hold
-inline — per-stream :class:`~repro.core.triage_queue.TriageQueue` instances,
-per-(source, window) kept bags and synopses, arrival counts, the
-budgeted heap drain that emulates the engine, and the window-close
-bookkeeping — factored out so it can run either in the server process
-(``shards=1``, the serial fallback) or once per shard worker process
+:class:`StreamDataPlane` is the :class:`~repro.core.runtime.TriageRuntime`
+the network service drives on the wall clock.  It adds what only the service
+needs: batch ingest with row or column validation, the late-row filter
+(rows for an already-closed window are refused and reported), a
+wall-clock tuple budget per engine tick, an optional hosted CEP pattern
+engine fed from the drain, and the audit/profiler hookup.  It runs in the
+server process (``shards=1``) or once per shard worker process
 (:mod:`repro.service.shard`), each worker owning a disjoint subset of the
 stream sources.
 
@@ -29,19 +30,14 @@ determinism tests pin down.
 
 from __future__ import annotations
 
-import heapq
-
-from repro.algebra.multiset import Multiset
-from repro.core.merge import WindowPartials
-from repro.core.triage_queue import TriageQueue
+from repro.core.runtime import TriageRuntime
 from repro.engine.types import SchemaError, StreamTuple
-from repro.synopses.base import Synopsis
 
 __all__ = ["StreamDataPlane"]
 
 
-class StreamDataPlane:
-    """Triage queues + window accounting for a set of stream sources."""
+class StreamDataPlane(TriageRuntime):
+    """The triage runtime for a set of stream sources, fed by PUBLISH."""
 
     def __init__(
         self,
@@ -74,8 +70,6 @@ class StreamDataPlane:
         self._schemas = {
             s: pipeline.bound.source(s).schema for s in self.sources
         }
-        self.build_kept_syn: bool = self.config.strategy.summarizes_drops
-        self.queues: dict[str, TriageQueue] = {}
         # CEP pattern hosting (attach_pattern): the engine consumes drained
         # tuples of its streams alongside the SPJ window accounting.
         self._pattern_args: tuple | None = None
@@ -86,8 +80,7 @@ class StreamDataPlane:
 
     def reset(self) -> None:
         """Fresh queues and window state (bench reps, worker reuse)."""
-        self.queues.clear()
-        self.queues.update(
+        super().__init__(
             {
                 s: self.pipeline.build_queue(
                     s,
@@ -96,17 +89,10 @@ class StreamDataPlane:
                     audit=self._audit,
                 )
                 for s in self.sources
-            }
+            },
+            self.config.window,
+            summarize=self.config.strategy.summarizes_drops,
         )
-        self._kept_rows: dict[str, dict[int, Multiset]] = {
-            s: {} for s in self.sources
-        }
-        self._kept_syn: dict[str, dict[int, Synopsis]] = {
-            s: {} for s in self.sources
-        }
-        self.arrived: dict[str, dict[int, int]] = {s: {} for s in self.sources}
-        self.known_windows: set[int] = set()
-        self.last_closed_wid: int | None = None
         self._budget_carry = 0.0
         if self._pattern_args is not None:
             self._build_pattern_engine()
@@ -297,6 +283,7 @@ class StreamDataPlane:
                     known.add(wid)
                 batch.append(StreamTuple(ts, tup_row))
         queue.offer_bulk(batch)
+        self.requeued(source)
         return len(batch), late, len(queue), queue.stats.dropped
 
     def ingest_columns(
@@ -361,6 +348,7 @@ class StreamDataPlane:
             if len(keep) != n:
                 batch = batch.select(keep)
         queue.offer_bulk(batch)
+        self.requeued(source)
         return len(batch), late, len(queue), queue.stats.dropped
 
     # ------------------------------------------------------------------
@@ -382,144 +370,24 @@ class StreamDataPlane:
         return whole
 
     def drain(self, budget: int | None) -> None:
-        """Poll up to ``budget`` tuples (None = everything), oldest first.
-
-        Queue heads are tracked in a heap instead of a linear peek over
-        every source per tuple.  Heads can shift underneath us (a racing
-        publisher thread may trigger a head eviction), so entries are
-        revalidated against the live head on pop; rows offered to a queue
-        *after* its heap entry was consumed are picked up next tick.
-        """
-        polled = 0
-        queues = self.queues
-        names = list(queues)
+        """Take up to ``budget`` tuples (None = everything), oldest first."""
         # Pattern feed: drained tuples of pattern sources accumulate here
         # and hit the engine as one advance_batch at the end of the drain
         # (byte-identical to per-tuple consume; the engine vectorizes its
         # utility updates and local-predicate pre-filter over the batch).
-        pattern_feed: list[tuple[str, StreamTuple]] | None = (
+        feed: list[tuple[str, StreamTuple]] | None = (
             [] if self._pattern_engine is not None else None
         )
-        heap = []
-        for idx, s in enumerate(names):
-            ts = queues[s].peek_timestamp()
-            if ts is not None:
-                heap.append((ts, idx))
-        heapq.heapify(heap)
-        window_ids = self.config.window.ids
-        last_closed = self.last_closed_wid
-        while (budget is None or polled < budget) and heap:
-            ts, idx = heapq.heappop(heap)
-            source = names[idx]
-            q = queues[source]
-            cur = q.peek_timestamp()
-            if cur != ts:
-                if cur is not None:  # pragma: no cover - racing publisher
-                    heapq.heappush(heap, (cur, idx))
-                continue
-            tup = q.poll()
-            if tup is None:  # pragma: no cover - racing publisher thread
-                continue
-            nts = q.peek_timestamp()
-            if nts is not None:
-                heapq.heappush(heap, (nts, idx))
+        polled = 0
+        while budget is None or polled < budget:
+            taken = self.take()
+            if taken is None:
+                break
             polled += 1
-            if pattern_feed is not None and source in self._pattern_sources:
-                pattern_feed.append((source, tup))
-            kept_rows = self._kept_rows[source]
-            for wid in window_ids(tup.timestamp):
-                if last_closed is not None and wid <= last_closed:
-                    # Out-of-order backlog for a window already reported:
-                    # too late to contribute; don't leak per-window state.
-                    continue
-                bag = kept_rows.setdefault(wid, Multiset())
-                bag.add(tup.row)
-                if self.build_kept_syn:
-                    syn = self._kept_syn[source].get(wid)
-                    if syn is None:
-                        syn = self._kept_syn[source][wid] = (
-                            self.pipeline.make_kept_synopsis(source)
-                        )
-                    self.pipeline.insert_into_synopsis(source, syn, tup.row)
-        if pattern_feed:
-            self._pattern_matches.extend(
-                self._pattern_engine.advance_batch(pattern_feed)
-            )
-
-    # ------------------------------------------------------------------
-    # Window closing
-    # ------------------------------------------------------------------
-    def due_windows(self, now: float, grace: float = 0.0) -> list[int]:
-        """Windows whose end (+grace) has passed and whose tuples drained.
-
-        A window stays open while any queue's head still precedes its end —
-        backlogged-but-kept tuples must land in their window first.  Windows
-        are ordered, so the scan stops at the first not-due window.
-        """
-        due: list[int] = []
-        heads = [
-            q.peek_timestamp()
-            for q in self.queues.values()
-            if q.peek_timestamp() is not None
-        ]
-        for wid in sorted(self.known_windows):
-            _, end = self.config.window.bounds(wid)
-            if end + grace > now:
-                break
-            if any(h < end for h in heads):
-                break
-            due.append(wid)
-        return due
-
-    def collect(self, wids: list[int]) -> WindowPartials:
-        """Pop the evaluation inputs for a batch of closing windows."""
-        use_shadow = self.build_kept_syn
-        sources = self.sources
-        released = {
-            s: {w: self.queues[s].release_window(w) for w in wids}
-            for s in sources
-        }
-        return WindowPartials(
-            window_ids=list(wids),
-            kept_rows={
-                s: {w: self._kept_rows[s].pop(w, Multiset()) for w in wids}
-                for s in sources
-            },
-            kept_synopses=(
-                {
-                    s: {w: self._kept_syn[s].pop(w, None) for w in wids}
-                    for s in sources
-                }
-                if use_shadow
-                else None
-            ),
-            dropped_synopses=(
-                {
-                    s: {w: released[s][w].synopsis for w in wids}
-                    for s in sources
-                }
-                if use_shadow
-                else None
-            ),
-            dropped_counts={
-                s: {w: released[s][w].dropped_count for w in wids}
-                for s in sources
-            },
-            arrived={
-                s: {w: self.arrived[s].pop(w, 0) for w in wids}
-                for s in sources
-            },
-        )
-
-    def mark_closed(self, wids: list[int]) -> None:
-        """Advance the closed-window watermark; later rows for it are late."""
-        for wid in wids:
-            self.known_windows.discard(wid)
-            self.last_closed_wid = (
-                wid
-                if self.last_closed_wid is None
-                else max(self.last_closed_wid, wid)
-            )
+            if feed is not None and taken[0] in self._pattern_sources:
+                feed.append(taken)
+        if feed:
+            self._pattern_matches.extend(self._pattern_engine.advance_batch(feed))
 
     # ------------------------------------------------------------------
     # Introspection (metrics, summaries, coordinator snapshots)

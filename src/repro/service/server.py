@@ -8,7 +8,7 @@ outruns the engine sheds into per-window synopses instead of growing an
 unbounded socket buffer.  A window ticker emulates the engine (a fixed
 ``service_time`` per tuple, exactly like the virtual-clock pipeline),
 closes windows as the clock passes them, evaluates the exact + shadow
-plans via :meth:`DataTriagePipeline.evaluate_window`, and fans the merged
+plans via :meth:`DataTriagePipeline.evaluate_windows`, and fans the merged
 composite result out to every subscriber.
 
 Design notes
@@ -291,10 +291,6 @@ class TriageServer:
         self._t0: float | None = None
         self._last_tick = 0.0
         self._closing = False
-
-    @property
-    def _known_windows(self) -> set[int]:
-        return self.plane.known_windows
 
     @property
     def _last_closed_wid(self) -> int | None:
@@ -1212,15 +1208,7 @@ class TriageServer:
                 for w in wids
                 if w in self._window_traces
             } or None
-        outcomes = self.pipeline.evaluate_windows(
-            trace_ids=trace_ids,
-            window_ids=list(wids),
-            kept_rows=partials.kept_rows,
-            kept_synopses=partials.kept_synopses,
-            dropped_synopses=partials.dropped_synopses,
-            dropped_counts=partials.dropped_counts,
-            arrived=partials.arrived,
-        )
+        outcomes = self.pipeline.evaluate_windows(partials, trace_ids=trace_ids)
         frames = [self._frame_outcome(o, now) for o in outcomes]
         if self.audit is not None:
             # Attribution join: sharded planes shipped worker ledger state

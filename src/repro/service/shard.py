@@ -48,6 +48,7 @@ import time
 import zlib
 
 from repro.core.merge import WindowPartials, merge_partials
+from repro.core.runtime import close_rule
 from repro.engine.types import SchemaError
 from repro.perf.parallel import (
     build_pipeline_from_payload,
@@ -284,7 +285,6 @@ class ShardedDataPlane:
         self.assignment: dict[str, int] = {
             s: shard_of(s, shards) for s in self.sources
         }
-        self.build_kept_syn: bool = self.config.strategy.summarizes_drops
         self.known_windows: set[int] = set()
         self.last_closed_wid: int | None = None
         self._depths: dict[str, int] = {s: 0 for s in self.sources}
@@ -499,20 +499,6 @@ class ShardedDataPlane:
             ("ingest", source, rows, timestamps, now, validate)
         )
 
-    def submit_ingest_columns(
-        self,
-        source: str,
-        cols,
-        timestamps=None,
-        now: float = 0.0,
-        validate: bool = True,
-    ) -> None:
-        """Pipelined columnar ingest (see :meth:`submit_ingest` for the
-        single-conversation constraint; acks owed to :meth:`flush_ingest`)."""
-        self._worker_for(source).submit(
-            ("ingest_cols", source, cols, timestamps, now, validate)
-        )
-
     def flush_ingest(self) -> tuple[int, int]:
         """Barrier: wait for every pipelined ingest; summed (accepted, late)."""
         accepted = 0
@@ -560,17 +546,10 @@ class ShardedDataPlane:
                 self._heads[s] = None if budget is None else self._heads[s]
 
     def due_windows(self, now: float, grace: float = 0.0) -> list[int]:
-        """Serial close rule over the merged snapshot (see StreamDataPlane)."""
-        due: list[int] = []
-        heads = [h for h in self._heads.values() if h is not None]
-        for wid in sorted(self.known_windows):
-            _, end = self.config.window.bounds(wid)
-            if end + grace > now:
-                break
-            if any(h < end for h in heads):
-                break
-            due.append(wid)
-        return due
+        """The serial close rule over the merged head snapshot."""
+        return close_rule(
+            self.config.window, self.known_windows, self._heads.values(), now, grace
+        )
 
     def collect(self, wids: list[int]) -> WindowPartials:
         """Ship + merge partials for a batch of closing windows.
@@ -619,21 +598,12 @@ class ShardedDataPlane:
                 if self.last_closed_wid is None
                 else max(self.last_closed_wid, wid)
             )
-        for s, h in self._heads.items():
-            # Collected heads were consumed by the close on the worker side.
-            if h is not None and self.last_closed_wid is not None:
-                _, end = self.config.window.bounds(self.last_closed_wid)
-                if h < end:
-                    self._heads[s] = None
 
     # ------------------------------------------------------------------
     # Introspection facade (StreamDataPlane parity)
     # ------------------------------------------------------------------
     def depths(self) -> dict[str, int]:
         return dict(self._depths)
-
-    def heads(self) -> dict[str, float | None]:
-        return dict(self._heads)
 
     def capacities(self) -> dict[str, int]:
         # No adaptive controller runs in sharded mode (validated at server

@@ -41,21 +41,10 @@ class DenseGridHistogram(Synopsis):
         d = self.dimensions[dim_idx]
         return int((value - d.lo) // self.bin_width)
 
-    def _bin_n_values(self, dim_idx: int, b: int) -> int:
-        d = self.dimensions[dim_idx]
-        lo = d.lo + b * self.bin_width
-        return min(d.hi, lo + self.bin_width - 1) - lo + 1
-
     def _bin_value_range(self, dim_idx: int, b: int) -> tuple[int, int]:
         d = self.dimensions[dim_idx]
         lo = d.lo + b * self.bin_width
         return lo, min(d.hi, lo + self.bin_width - 1)
-
-    def _vals_per_bin(self, dim_idx: int) -> np.ndarray:
-        n_bins = self._grid.shape[dim_idx]
-        return np.array(
-            [self._bin_n_values(dim_idx, b) for b in range(n_bins)], dtype=np.float64
-        )
 
     # ------------------------------------------------------------------
     # Synopsis interface

@@ -57,10 +57,6 @@ class SparseCubicHistogram(Synopsis):
         hi = min(d.hi, lo + self.bucket_width - 1)
         return lo, hi
 
-    def _bucket_n_values(self, dim_idx: int, coord: int) -> int:
-        lo, hi = self._bucket_range(dim_idx, coord)
-        return hi - lo + 1
-
     # ------------------------------------------------------------------
     # Synopsis interface
     # ------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Tests for time-window specs and assignment."""
 
+import math
+import random
+
 import pytest
 
 from repro.engine import StreamTuple, WindowSpec, assign_windows, parse_window_clause
@@ -24,6 +27,33 @@ class TestWindowSpec:
         w = WindowSpec(width=2.0, slide=1.0)
         # t=2.5 is inside windows starting at 1.0 and 2.0.
         assert list(w.window_ids(2.5)) == [1, 2]
+
+    @pytest.mark.parametrize(
+        "width, slide", [(0.1, None), (0.3, None), (2.28375, None), (0.3, 0.1)]
+    )
+    def test_float_boundaries_give_a_run_ending_at_the_primary_window(
+        self, width, slide
+    ):
+        # k * 0.1 lands in two tumbling windows (1.3) or none (4.3) if
+        # membership is tested against float products instead of anchored on
+        # the primary window.
+        w = WindowSpec(width=width, slide=slide)
+        rng = random.Random(5)
+        multiples = [k * w.hop for k in range(2000)]
+        stamps = multiples + [rng.uniform(0, 2000 * w.hop) for _ in range(2000)]
+        stamps += [math.nextafter(t, math.inf) for t in multiples]
+        stamps += [math.nextafter(t, -math.inf) for t in multiples[1:]]
+        for ts in stamps:
+            ids = w.window_ids(ts)
+            primary = w.primary_window(ts)
+            assert ids == tuple(range(primary - len(ids) + 1, primary + 1)), ts
+            if slide is None:
+                assert ids == (primary,), ts
+            else:
+                assert all(ts < w.bounds(i)[1] for i in ids), ts
+                if ids[0] > 0:
+                    assert ts >= w.bounds(ids[0] - 1)[1], ts
+            assert w.ids(ts) == ids
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

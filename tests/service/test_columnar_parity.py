@@ -80,14 +80,7 @@ def drive(plane, pipeline, schedule, columnar):
         if due:
             partials = plane.collect(due)
             outcomes.extend(
-                pipeline.evaluate_windows(
-                    window_ids=due,
-                    kept_rows=partials.kept_rows,
-                    kept_synopses=partials.kept_synopses,
-                    dropped_synopses=partials.dropped_synopses,
-                    dropped_counts=partials.dropped_counts,
-                    arrived=partials.arrived,
-                )
+                pipeline.evaluate_windows(partials)
             )
             plane.mark_closed(due)
     plane.advance(1000.0)
@@ -95,14 +88,7 @@ def drive(plane, pipeline, schedule, columnar):
     if leftovers:
         partials = plane.collect(leftovers)
         outcomes.extend(
-            pipeline.evaluate_windows(
-                window_ids=leftovers,
-                kept_rows=partials.kept_rows,
-                kept_synopses=partials.kept_synopses,
-                dropped_synopses=partials.dropped_synopses,
-                dropped_counts=partials.dropped_counts,
-                arrived=partials.arrived,
-            )
+            pipeline.evaluate_windows(partials)
         )
         plane.mark_closed(leftovers)
     outcomes.sort(key=lambda o: o.window_id)

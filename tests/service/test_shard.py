@@ -114,14 +114,7 @@ def drive(plane, pipeline, schedule):
         if due:
             partials = plane.collect(due)
             outcomes.extend(
-                pipeline.evaluate_windows(
-                    window_ids=due,
-                    kept_rows=partials.kept_rows,
-                    kept_synopses=partials.kept_synopses,
-                    dropped_synopses=partials.dropped_synopses,
-                    dropped_counts=partials.dropped_counts,
-                    arrived=partials.arrived,
-                )
+                pipeline.evaluate_windows(partials)
             )
             plane.mark_closed(due)
     # Flush whatever the grace rule held back.
@@ -130,14 +123,7 @@ def drive(plane, pipeline, schedule):
     if leftovers:
         partials = plane.collect(leftovers)
         outcomes.extend(
-            pipeline.evaluate_windows(
-                window_ids=leftovers,
-                kept_rows=partials.kept_rows,
-                kept_synopses=partials.kept_synopses,
-                dropped_synopses=partials.dropped_synopses,
-                dropped_counts=partials.dropped_counts,
-                arrived=partials.arrived,
-            )
+            pipeline.evaluate_windows(partials)
         )
         plane.mark_closed(leftovers)
     outcomes.sort(key=lambda o: o.window_id)
