@@ -186,15 +186,42 @@ class PatternProtection:
         self._index = index
 
     def protects(self, stream: str, row: tuple) -> bool:
+        test = self.row_test(stream)
+        return test if isinstance(test, bool) else test(row)
+
+    def row_test(
+        self, stream: str, tag: int | None = None
+    ) -> "bool | Callable[[tuple], bool]":
+        """:meth:`protects` for many rows of ``stream`` at once.
+
+        True (False) when every row is (not) protected, so no row needs
+        checking; otherwise a predicate over rows.  With ``tag``, rows carry
+        the stream name at that position (the merged pattern queue's
+        layout) and the key positions shift past it.  The predicate reads
+        the live buckets but not later changes to which positions are
+        keyed: use it before the engine next steps.
+        """
         si = self._index.get(stream)
         if si is None:
             return False
         if si.any:
             return True
-        for pos, by_val in si.keyed.items():
-            if by_val.get(row[pos]):
-                return True
-        return False
+        keyed = [
+            (pos if tag is None or pos < tag else pos + 1, by_val.get)
+            for pos, by_val in si.keyed.items()
+        ]
+        if len(keyed) == 1:
+            pos, get = keyed[0]
+
+            def protected(row: tuple) -> bool:
+                return get(row[pos]) is not None
+
+        else:
+
+            def protected(row: tuple) -> bool:
+                return any(get(row[pos]) is not None for pos, get in keyed)
+
+        return protected
 
 
 class PatternEngine:

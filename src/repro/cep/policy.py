@@ -15,37 +15,143 @@ pattern-aware.  Two signals rank candidates:
   P(contributes to a match | stream, phase-in-window), so among unprotected
   tuples the ones that historically never amount to anything go first.
 
-A small occupancy term (from ``PolicyContext.window_counts``, maintained
-incrementally by the queue) breaks remaining ties toward tuples in crowded
+A small occupancy term, ``0.01 / (1 + n)`` for ``n`` buffered tuples in the
+tuple's primary window, breaks remaining ties toward tuples in crowded
 windows, where each individual tuple is most redundant.  The policy is
 fully deterministic: no RNG, ties resolved by lowest buffer index, and the
 incoming tuple is shed only when *strictly* worse than every buffered one.
 
-Victim selection is the CEP hot path during bursts — every overflow scores
-the whole buffer — so the state-dependent part of each tuple's score
-(probability + protection bonus) is memoized per tuple and invalidated
-against the ``(engine.version, model.version)`` epoch.  Between two engine
-steps nothing that feeds a base score can change, which is the common case
-during a burst: arrivals outpace the service rate, so the queue overflows
-many times per drain.  The occupancy term reads the queue's live counts and
-is recomputed every call.  Scores, and therefore decisions, are bit-equal
-to the uncached formula: the addition order (probability, + bonus,
-+ occupancy) is preserved exactly.
+Victim selection is the CEP hot path during bursts, so it never rescores
+the buffer tuple by tuple.  A tuple's score depends only on its *class* —
+(stream, phase bin, primary window) — and on whether its key is protected.
+Each queue therefore gets its own :class:`ClassIndex` (the policy's
+``buffer_index``), which files every buffered tuple under its class in
+arrival order.  An overflow scores each non-empty class once, finds its
+first member of the cheaper protection status (O(1) when protection is
+uniform across the stream), and takes the minimum by (score, arrival
+order) — arrival order is buffer order, so ties still go to the lowest
+buffer index.  The index also serves as the queue's window-occupancy
+counts, and it holds exactly the buffered tuples, so the policy's memory
+is bounded by the queue capacity however long it runs.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections import deque
+from collections.abc import Mapping, Sequence
 
-from repro.core.policies import DROP_INCOMING, DropPolicy, PolicyContext
+from repro.core.policies import (
+    DROP_INCOMING,
+    DropPolicy,
+    PolicyContext,
+    WindowCounts,
+)
 from repro.engine.types import StreamTuple
+from repro.engine.window import WindowSpec
+
+
+class _Unwindowed:
+    """Stands in for a missing window spec: every tuple in window None."""
+
+    @staticmethod
+    def primary_window(timestamp: float) -> None:
+        return None
+
+
+_UNWINDOWED = _Unwindowed()
+
+
+class ClassIndex(WindowCounts):
+    """One queue's buffered tuples, filed by scoring class.
+
+    A class is ``(stream, phase bin, primary window)``; its members are
+    ``(arrival sequence number, tuple)`` pairs in arrival order.  The
+    mapping itself is the per-window occupancy count.  Classes are computed
+    under ``layout`` — the policy's ``(stream_tag, within, bins)`` when the
+    index last filed its members; a policy whose layout has moved on (a
+    re-bound engine, a new ``stream_tag``) re-files them before reading.
+    """
+
+    __slots__ = ("policy", "name", "layout", "classes", "_seq")
+
+    def __init__(
+        self, policy: "PatternUtilityPolicy", name: str | None, window
+    ) -> None:
+        # ``window`` is None only for a one-shot index of a bare buffer.
+        super().__init__(_UNWINDOWED if window is None else window)
+        self.policy = policy
+        self.name = name or ""
+        self.layout = policy.layout()
+        self.classes: dict[tuple, deque] = {}
+        self._seq = 0
+
+    def class_of(self, tup: StreamTuple) -> tuple:
+        """The class ``tup`` files under: (stream, phase bin, window)."""
+        return self._class(tup, self._primary(tup.timestamp))
+
+    def _class(self, tup: StreamTuple, wid) -> tuple:
+        tag, within, bins = self.layout
+        stream = self.name if tag is None else tup.row[tag]
+        if within is None:
+            return stream, 0, wid
+        b = int((tup.timestamp % within) / within * bins)
+        return stream, (b if b < bins else bins - 1), wid
+
+    def _file(self, seq: int, tup: StreamTuple, wid) -> None:
+        key = self._class(tup, wid)
+        members = self.classes.get(key)
+        if members is None:
+            members = self.classes[key] = deque()
+        members.append((seq, tup))
+
+    def add(self, tup: StreamTuple) -> None:
+        wid = self._primary(tup.timestamp)
+        self[wid] = self.get(wid, 0) + 1
+        self._file(self._seq, tup, wid)
+        self._seq += 1
+
+    def remove(self, tup: StreamTuple) -> None:
+        """Forget the earliest indexed tuple equal to ``tup``.
+
+        Queues remove the first equal occurrence in buffer order (the head,
+        or the index the policy returned), and equal tuples share a class.
+        """
+        wid = self._primary(tup.timestamp)
+        n = self[wid] - 1
+        if n:
+            self[wid] = n
+        else:
+            del self[wid]
+        key = self._class(tup, wid)
+        members = self.classes[key]
+        for i, (_, m) in enumerate(members):
+            if m is tup or m == tup:
+                del members[i]
+                break
+        if not members:
+            del self.classes[key]
+
+    def clear(self) -> None:
+        super().clear()
+        self.classes.clear()
+
+    def relayout(self, layout: tuple) -> None:
+        """Re-file every member under ``layout``, keeping arrival order."""
+        entries = sorted(
+            (entry for ms in self.classes.values() for entry in ms),
+            key=lambda entry: entry[0],
+        )
+        self.layout = layout
+        self.classes = {}
+        for seq, tup in entries:
+            self._file(seq, tup, self._primary(tup.timestamp))
 
 
 class PatternUtilityPolicy(DropPolicy):
     """Shed the tuple least likely to contribute to a pattern match."""
 
-    #: Ask the queue to maintain window-occupancy counts (satellite of the
-    #: PolicyContext extension; existing policies leave this False).
+    #: Victim scoring reads window occupancy; here it comes from the
+    #: :class:`ClassIndex` this policy hands each queue (``buffer_index``).
     wants_window_counts = True
 
     #: Victim scoring reads engine state and window occupancy, never the
@@ -68,19 +174,24 @@ class PatternUtilityPolicy(DropPolicy):
         #: pattern queue tags rows at position 0).  ``None`` means the queue
         #: is single-stream and ``PolicyContext.queue_name`` identifies it.
         self.stream_tag = stream_tag
-        self._epoch: tuple | None = None
-        #: tuple -> (epoch, base score, window id).  One dict, so scoring a
-        #: cached tuple hashes its row once, not once per sub-cache.  The
-        #: epoch is stored *in* the entry (compared by identity) so an epoch
-        #: flip invalidates every base lazily while the window ids — which
-        #: only depend on the timestamp — survive untouched.
-        self._cache: dict[StreamTuple, tuple] = {}
-        self._window = None
 
     def bind_engine(self, engine) -> None:
+        """Score against ``engine`` from now on.
+
+        Queue indexes filed under another layout (a model with different
+        ``within``/``bins``, or none) re-file at their next decision.
+        """
         self.engine = engine
-        self._epoch = None
-        self._cache.clear()
+
+    def layout(self) -> tuple:
+        """``(stream_tag, within, bins)``: what a tuple's class depends on."""
+        model = None if self.engine is None else self.engine.utility
+        if model is None:
+            return (self.stream_tag, None, 1)
+        return (self.stream_tag, model.within, model.bins)
+
+    def buffer_index(self, name: str, window: WindowSpec) -> ClassIndex:
+        return ClassIndex(self, name, window)
 
     # ------------------------------------------------------------------
     def select_victim(
@@ -93,89 +204,76 @@ class PatternUtilityPolicy(DropPolicy):
         if engine is None:
             # No pattern state yet: degrade to deterministic head drop.
             return 0
-        model = engine.utility
-        epoch = (engine.version, -1 if model is None else model.version)
-        if epoch != self._epoch:
-            self._epoch = epoch
-        epoch = self._epoch
-        cget = self._cache.get
-        entry = self._score_entry
-        counts = context.window_counts
-        window = context.window
-        if counts is not None and window is not None:
-            if window is not self._window:
-                self._window = window
-                self._cache.clear()
-            # Occupancy varies only per *window*, not per tuple: fold the
-            # division into a tiny per-call table so the per-tuple cost is
-            # one cache hit, one int-keyed get, and one add.  0.01 /
-            # (1.0 + n) with the same operands is bit-equal whether
-            # computed here or inline.
-            occ = {w: 0.01 / (1.0 + n) for w, n in counts.items()}
-            oget = occ.get
-            scores = [
-                e[1] + oget(e[2], 0.01)
-                if (e := cget(t)) is not None and e[0] is epoch
-                else (p := entry(t, context))[0] + oget(p[1], 0.01)
-                for t in buffer
-            ]
-            e = cget(incoming)
-            if e is not None and e[0] is epoch:
-                incoming_score = e[1] + oget(e[2], 0.01)
-            else:
-                p = entry(incoming, context)
-                incoming_score = p[0] + oget(p[1], 0.01)
+        index = context.window_counts
+        layout = self.layout()
+        if type(index) is ClassIndex and index.policy is self:
+            counts: Mapping[int, int] | None = index
+            if index.layout != layout:
+                index.relayout(layout)
         else:
-            scores = [
-                e[1]
-                if (e := cget(t)) is not None and e[0] is epoch
-                else entry(t, context)[0]
-                for t in buffer
-            ]
-            e = cget(incoming)
-            if e is not None and e[0] is epoch:
-                incoming_score = e[1]
+            # A bare buffer (no queue index): file it once, and use the
+            # counts given — no occupancy term without counts and a window.
+            window = context.window
+            counts = index if window is not None else None
+            index = ClassIndex(self, context.queue_name, window)
+            for tup in buffer:
+                index.add(tup)
+        model = engine.utility
+        row_test = engine.protection_index().row_test
+        tag = layout[0]
+        bonus = self.protect_bonus
+        tests: dict = {}
+
+        def test_of(stream):
+            """``stream``'s protection: a bool for all rows, or a predicate."""
+            test = tests.get(stream)
+            if test is None:
+                test = tests[stream] = row_test(stream, tag)
+            return test
+
+        def scores(stream, b, wid) -> tuple[float, float]:
+            """(unprotected, protected) score of a class."""
+            p = model.probability_row(stream)[b] if model is not None else 0.0
+            pb = p + bonus
+            if counts is None:
+                return p, pb
+            n = counts.get(wid)
+            occ = 0.01 if n is None else 0.01 / (1.0 + n)
+            return p + occ, pb + occ
+
+        best = None
+        best_score = best_seq = 0.0
+        for key, members in index.classes.items():
+            plain, guarded = scores(*key)
+            seq, tup = members[0]
+            if plain == guarded:
+                score = plain
             else:
-                incoming_score = entry(incoming, context)[0]
-        if not scores:
-            context.last_score = incoming_score
-            return DROP_INCOMING
-        best = min(scores)
-        if incoming_score < best:
+                test = test_of(key[0])
+                if test is True or test is False:
+                    protected = test
+                else:
+                    # The first member of the cheaper status wins its
+                    # class; without one, the first member does.
+                    cheap = guarded < plain
+                    protected = not cheap
+                    for s, t in members:
+                        if test(t.row) is cheap:
+                            seq, tup, protected = s, t, cheap
+                            break
+                score = guarded if protected else plain
+            if best is None or score < best_score or (
+                score == best_score and seq < best_seq
+            ):
+                best, best_score, best_seq = tup, score, seq
+        key = index.class_of(incoming)
+        plain, guarded = scores(*key)
+        test = test_of(key[0])
+        protected = test if test is True or test is False else test(incoming.row)
+        incoming_score = guarded if protected else plain
+        if best is None or incoming_score < best_score:
             # Score sink for the audit ledger: the shed tuple's utility.
             context.last_score = incoming_score
             return DROP_INCOMING
-        context.last_score = best
-        return scores.index(best)
-
-    # ------------------------------------------------------------------
-    def _score_entry(
-        self, tup: StreamTuple, context: PolicyContext
-    ) -> tuple[float, int | None]:
-        """(probability + protection bonus, window id), cached per epoch."""
-        tag = self.stream_tag
-        if tag is None:
-            stream, row = context.queue_name or "", tup.row
-        else:
-            stream = tup.row[tag]
-            row = tup.row[:tag] + tup.row[tag + 1 :]
-        engine = self.engine
-        model = engine.utility
-        if model is not None:
-            # probability_row()[bin] is bit-equal to probability(); the
-            # bin arithmetic is inlined to keep the rescore path call-free.
-            w = model.within
-            b = model.bins
-            idx = int((tup.timestamp % w) / w * b)
-            s = model.probability_row(stream)[idx if idx < b else b - 1]
-        else:
-            s = 0.0
-        if engine.protection_index().protects(stream, row):
-            s += self.protect_bonus
-        window = self._window
-        wid = None if window is None else window.primary_window(tup.timestamp)
-        try:
-            self._cache[tup] = (self._epoch, s, wid)
-        except TypeError:
-            pass  # unhashable row values: skip caching, stay correct
-        return s, wid
+        context.last_score = best_score
+        return buffer.index(best)

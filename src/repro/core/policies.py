@@ -41,11 +41,11 @@ class PolicyContext:
     maps synopsis dimensions to row positions.  ``queue_name`` identifies
     the offering queue (the source stream, for per-stream queues).
     ``window_counts`` maps a primary-window id to the number of currently
-    *buffered* tuples in that window — maintained incrementally by the
-    queue (never by rescanning the buffer), but only for policies that set
-    :attr:`DropPolicy.wants_window_counts`; otherwise it is ``None`` and
-    costs nothing.  ``window`` is the queue's window spec, needed to map a
-    candidate tuple's timestamp onto those counts.
+    *buffered* tuples in that window.  It is the queue's buffer index
+    (:meth:`DropPolicy.buffer_index`), maintained incrementally by the
+    queue (never by rescanning the buffer); policies that want no index get
+    ``None`` and pay nothing.  ``window`` is the queue's window spec,
+    needed to map a candidate tuple's timestamp onto those counts.
 
     ``last_score`` is an optional *score sink*: a policy that ranks
     candidates numerically (e.g. ``PatternUtilityPolicy``) writes the
@@ -61,6 +61,34 @@ class PolicyContext:
     window: "WindowSpec | None" = None
     window_counts: Mapping[int, int] | None = None
     last_score: float | None = None
+
+
+class WindowCounts(dict):
+    """Buffered-tuple counts per primary window: the default buffer index.
+
+    A queue calls :meth:`add` for every tuple entering its buffer,
+    :meth:`remove` for every tuple leaving it (polled or evicted) and
+    ``clear()`` when it drains, so the counts always describe the buffer
+    without rescanning it.
+    """
+
+    __slots__ = ("_primary",)
+
+    def __init__(self, window: "WindowSpec") -> None:
+        super().__init__()
+        self._primary = window.primary_window
+
+    def add(self, tup: StreamTuple) -> None:
+        wid = self._primary(tup.timestamp)
+        self[wid] = self.get(wid, 0) + 1
+
+    def remove(self, tup: StreamTuple) -> None:
+        wid = self._primary(tup.timestamp)
+        n = self.get(wid, 0) - 1
+        if n <= 0:
+            self.pop(wid, None)
+        else:
+            self[wid] = n
 
 
 class DropPolicy(abc.ABC):
@@ -86,6 +114,19 @@ class DropPolicy(abc.ABC):
         context: PolicyContext,
     ) -> int:
         """Index into ``buffer`` to evict, or :data:`DROP_INCOMING`."""
+
+    def buffer_index(
+        self, name: str, window: "WindowSpec"
+    ) -> "WindowCounts | None":
+        """A fresh index of one queue's buffer, or None to track nothing.
+
+        Every queue asks once, at construction, so a policy shared by
+        several queues hands each its own index.  The queue keeps the index
+        in step with its buffer (``add``/``remove``/``clear``) and passes
+        it as ``PolicyContext.window_counts``.  The default is the
+        per-window occupancy counts when :attr:`wants_window_counts` is set.
+        """
+        return WindowCounts(window) if self.wants_window_counts else None
 
     @property
     def name(self) -> str:

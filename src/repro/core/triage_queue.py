@@ -142,26 +142,24 @@ class TriageQueue:
         self._window_synopses: dict[int, Synopsis] = {}
         self._window_counts: dict[int, int] = {}
         self._window_bounds: dict[int, tuple[float, float]] = {}
-        # Buffered-tuple counts per primary window, maintained incrementally
-        # on the offer/poll paths — but only when the policy asks for them
-        # (``DropPolicy.wants_window_counts``), so the default policies pay
-        # nothing.  Decided once here: swapping in an occupancy-hungry
-        # policy after construction is not supported.
-        self._track_occupancy = bool(getattr(policy, "wants_window_counts", False))
-        self._occupancy: dict[int, int] = {}
+        # The policy's index of this queue's buffer (None for policies that
+        # want none, so they pay nothing), kept in step on every path that
+        # adds or removes a buffered tuple.  Decided once here: swapping in
+        # an index-hungry policy after construction is not supported.
+        self._index = policy.buffer_index(name, window)
         # One reusable context per queue: every field but ``synopsis`` is
-        # fixed for the queue's lifetime (``window_counts`` aliases the
-        # occupancy dict, which is mutated in place, never replaced), so
-        # the overflow path stops paying a dataclass construction per
-        # victim decision.  Policies must not retain the context across
-        # calls — none do; it is a per-decision view by contract.
+        # fixed for the queue's lifetime (``window_counts`` is the index,
+        # which is mutated in place, never replaced), so the overflow path
+        # stops paying a dataclass construction per victim decision.
+        # Policies must not retain the context across calls — none do; it
+        # is a per-decision view by contract.
         self._policy_context = PolicyContext(
             rng=self._rng,
             synopsis=None,
             dim_positions=self.dim_positions,
             queue_name=name,
             window=window,
-            window_counts=self._occupancy if self._track_occupancy else None,
+            window_counts=self._index,
         )
         self.stats = QueueStats()
 
@@ -185,8 +183,8 @@ class TriageQueue:
             self._notify("offer")
             if len(self._buffer) < self.capacity:
                 self._buffer.append(tup)
-                if self._track_occupancy:
-                    self._occ_add(tup)
+                if self._index is not None:
+                    self._index.add(tup)
                 self.stats.high_watermark = max(
                     self.stats.high_watermark, len(self._buffer)
                 )
@@ -204,9 +202,9 @@ class TriageQueue:
                 victim = self._buffer[victim_idx]
                 del self._buffer[victim_idx]
                 self._buffer.append(tup)
-                if self._track_occupancy:
-                    self._occ_remove(victim)
-                    self._occ_add(tup)
+                if self._index is not None:
+                    self._index.remove(victim)
+                    self._index.add(tup)
                 self._notify("evict_buffered")
             if auditing:
                 self.audit.record(
@@ -263,7 +261,7 @@ class TriageQueue:
             stats.offered += n
             buffer = self._buffer
             observing = self.observer is not None
-            track = self._track_occupancy
+            index = self._index
             dropped = 0
             drop_incoming = 0
             shed_bytes = 0.0
@@ -275,12 +273,9 @@ class TriageQueue:
                 else:
                     admit = batch if k == n else batch[:k]
                 buffer.extend(admit)
-                if track:
-                    occ = self._occupancy
-                    pw = self.window.primary_window
+                if index is not None:
                     for tup in admit:
-                        wid = pw(tup.timestamp)
-                        occ[wid] = occ.get(wid, 0) + 1
+                        index.add(tup)
             if k < n:
                 # The buffer is full for this entire tail: every arrival
                 # overflows and sheds exactly one victim.
@@ -324,9 +319,9 @@ class TriageQueue:
                         victim = buffer[victim_idx]
                         del buffer[victim_idx]
                         buffer.append(tup)
-                        if track:
-                            self._occ_remove(victim)
-                            self._occ_add(tup)
+                        if index is not None:
+                            index.remove(victim)
+                            index.add(tup)
                     dropped += 1
                     if observing:
                         shed_bytes += float(sys.getsizeof(victim.row))
@@ -408,8 +403,8 @@ class TriageQueue:
             self.stats.polled += 1
             self._notify("poll")
             tup = self._buffer.popleft()
-            if self._track_occupancy:
-                self._occ_remove(tup)
+            if self._index is not None:
+                self._index.remove(tup)
             return tup
 
     # ------------------------------------------------------------------
@@ -427,18 +422,6 @@ class TriageQueue:
         else:
             ctx.synopsis = None
         return ctx
-
-    def _occ_add(self, tup: StreamTuple) -> None:
-        wid = self.window.primary_window(tup.timestamp)
-        self._occupancy[wid] = self._occupancy.get(wid, 0) + 1
-
-    def _occ_remove(self, tup: StreamTuple) -> None:
-        wid = self.window.primary_window(tup.timestamp)
-        n = self._occupancy.get(wid, 0) - 1
-        if n <= 0:
-            self._occupancy.pop(wid, None)
-        else:
-            self._occupancy[wid] = n
 
     def _notify(self, event: str, value: float = 1.0) -> None:
         if self.observer is not None:
@@ -508,5 +491,6 @@ class TriageQueue:
         with self._lock:
             out = list(self._buffer)
             self._buffer.clear()
-            self._occupancy.clear()
+            if self._index is not None:
+                self._index.clear()
             return out
